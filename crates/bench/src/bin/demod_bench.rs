@@ -11,19 +11,29 @@
 //! `demodulate_with` (single full-window transform folded three ways,
 //! all buffers from a warm [`cic::DemodScratch`]). Best of `--reps`
 //! passes is reported; both paths are asserted decision-identical on
-//! every window before timing starts. CI smoke-runs this with `--quick`,
-//! validates the schema, and fails if the scratch path is slower than
-//! the wrapper path on any cell.
+//! every window before timing starts.
+//!
+//! The `stream_rows` compare, on one busy capture per SF (7 and 9), the
+//! cost of pushing it through a [`cic::StreamingReceiver`] in 4 k, 16 k
+//! and 64 k chunks against one batch `receive` over the whole capture
+//! (median per-rep ratio over at least 5 reps); a receiver that decodes
+//! every frame once stays near 1×. CI smoke-runs this with `--quick`, validates the
+//! schema, and fails if the scratch path is slower than the wrapper path
+//! on any cell or streaming costs more than 1.2× batch on any row.
 //!
 //! Usage: `demod_bench [--windows <n>] [--reps <n>] [--quick] [--out <path>]`
 
 use std::time::Instant;
 
-use cic::{Boundaries, CicConfig, CicDemodulator, DemodScratch, SymbolContext};
-use lora_channel::{add_unit_noise, amplitude_for_snr, superpose, Emission};
+use cic::{
+    Boundaries, CicConfig, CicDemodulator, CicReceiver, DemodScratch, StreamingReceiver,
+    SymbolContext,
+};
+use lora_channel::{add_unit_noise, amplitude_for_snr, superpose, DeploymentKind, Emission};
 use lora_dsp::Cf32;
 use lora_phy::chirp::symbol_waveform;
 use lora_phy::params::LoraParams;
+use lora_sim::scenario::{generate, Scenario};
 use lora_sim::{json_object, JsonValue};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -159,6 +169,80 @@ fn windows(
         .collect()
 }
 
+/// Streaming push cost against batch `receive` cost on one busy capture
+/// per SF: D2 traffic at a rate that keeps about two frames on the air
+/// at once, `seconds` long. Each rep times batch and then every chunking
+/// back to back, so host contention hits both sides of a ratio alike;
+/// a row reports the median over reps of the per-rep ratio (and the
+/// best time of each side).
+fn stream_rows(opts: &Opts) -> Vec<JsonValue> {
+    let seconds = if opts.quick { 0.6 } else { 2.0 };
+    let reps = opts.reps.max(5);
+    let chunks = [4096usize, 16_384, 65_536];
+    let mut rows = Vec::new();
+    for (sf, rate_pps) in [(7u8, 80.0), (9, 30.0)] {
+        let mut scenario = Scenario::paper(DeploymentKind::D2IndoorNlos, rate_pps, seconds, 7);
+        scenario.params = LoraParams::new(sf, 250e3, 4).expect("valid params");
+        let capture = generate(&scenario);
+        let cap = &capture.samples;
+        let (p, cr, len) = (scenario.params, scenario.cr, scenario.payload_len);
+        let config = CicConfig::default();
+        let batch_rx = CicReceiver::new(p, cr, len, config.clone());
+
+        let mut batch_s = Vec::new();
+        let mut stream_s = vec![Vec::new(); chunks.len()];
+        let mut batch_ok = 0;
+        let mut stream_ok = vec![0; chunks.len()];
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            let packets = batch_rx.receive(cap);
+            batch_s.push(t0.elapsed().as_secs_f64());
+            batch_ok = packets.iter().filter(|q| q.ok()).count();
+            for (i, &chunk) in chunks.iter().enumerate() {
+                let mut rx = StreamingReceiver::new(p, cr, len, config.clone());
+                let t0 = Instant::now();
+                let mut packets = Vec::new();
+                for c in cap.chunks(chunk) {
+                    packets.extend(rx.push(c));
+                }
+                packets.extend(rx.flush());
+                stream_s[i].push(t0.elapsed().as_secs_f64());
+                stream_ok[i] = packets.iter().filter(|q| q.ok()).count();
+            }
+        }
+
+        let best = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+        for (i, &chunk) in chunks.iter().enumerate() {
+            let mut ratios: Vec<f64> = stream_s[i]
+                .iter()
+                .zip(&batch_s)
+                .map(|(s, b)| s / b)
+                .collect();
+            ratios.sort_by(f64::total_cmp);
+            let ratio = ratios[ratios.len() / 2];
+            let (bs, ss) = (best(&batch_s), best(&stream_s[i]));
+            println!(
+                "SF{sf} stream {chunk:>6}-sample chunks: {ss:.3} s ({} ok) \
+                 vs batch {bs:.3} s ({batch_ok} ok), median ratio {ratio:.2}x",
+                stream_ok[i],
+            );
+            rows.push(json_object! {
+                "sf" => sf as usize,
+                "chunk" => chunk,
+                "samples" => cap.len(),
+                "frames" => capture.truth.len(),
+                "reps" => reps,
+                "batch_s" => bs,
+                "stream_s" => ss,
+                "batch_ok" => batch_ok,
+                "stream_ok" => stream_ok[i],
+                "stream_over_batch" => ratio,
+            });
+        }
+    }
+    rows
+}
+
 fn main() {
     let opts = parse_opts();
     repro_bench::banner(
@@ -244,12 +328,15 @@ fn main() {
         }
     }
 
+    let stream = stream_rows(&opts);
+
     let doc = json_object! {
         "bench" => "demod",
         "windows" => opts.windows,
         "reps" => opts.reps,
         "quick" => opts.quick,
         "rows" => JsonValue::Array(rows),
+        "stream_rows" => JsonValue::Array(stream),
     };
     std::fs::write(&opts.out, doc.pretty() + "\n").expect("write BENCH_demod.json");
     println!("\nwrote {}", opts.out);

@@ -48,12 +48,15 @@ pub struct CicConfig {
     /// Decode passes: after each pass, successfully decoded packets'
     /// data symbols become *known* interferer tones for the packets that
     /// failed, which are then re-decoded (candidate exclusion only — no
-    /// waveform subtraction). 1 disables iteration.
+    /// waveform subtraction). 1 disables iteration. The streaming
+    /// receiver decodes each frame once, so any value above 1 gives a
+    /// failed packet one retry against the neighbours decoded before it.
     pub decode_passes: usize,
     /// Worker threads for packet decoding. 1 decodes sequentially on the
     /// caller's thread; higher values make [`crate::CicReceiver`] (and the
-    /// streaming receiver built on it) split detected packets across
-    /// scoped threads, with output identical to sequential decoding.
+    /// streaming receiver's SIC residual pass) split detected packets
+    /// across scoped threads, with output identical to sequential
+    /// decoding.
     pub decode_threads: usize,
     /// Residual-cancellation stage (hybrid CIC + SIC): after the normal
     /// passes, subtract decoded packets from a retained copy of the

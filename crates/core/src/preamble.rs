@@ -13,10 +13,10 @@
 //! and uses the classic `f_up`/`f_down` combination to split CFO from
 //! residual timing error.
 
-use lora_dsp::{peaks, Cf32};
+use lora_dsp::{peaks, Cf32, Spectrum};
 use lora_phy::modulate::{FrameLayout, PREAMBLE_UPCHIRPS};
 use lora_phy::params::LoraParams;
-use lora_phy::Demodulator;
+use lora_phy::{Demodulator, SpectrumScratch};
 
 use crate::config::CicConfig;
 
@@ -31,6 +31,43 @@ pub struct Detection {
     pub peak_power: f64,
     /// Detection score (peak-to-median ratio of the down-chirp window).
     pub score: f64,
+}
+
+/// Reusable buffers of [`PreambleDetector::coarse_scan`]: the
+/// up-dechirped window, the padded transform, the folded spectrum and the
+/// median-selection scratch. Empty until the first scan grows them.
+#[derive(Debug)]
+pub struct CoarseScratch {
+    window: Vec<Cf32>,
+    spec: SpectrumScratch,
+    folded: Spectrum,
+    median: Vec<f64>,
+}
+
+impl Default for CoarseScratch {
+    fn default() -> Self {
+        Self {
+            window: Vec::new(),
+            spec: SpectrumScratch::new(),
+            folded: Spectrum::from_power(Vec::new()),
+            median: Vec::new(),
+        }
+    }
+}
+
+/// Whether a coarse hit at `pos` joins `cluster` (hits sorted by
+/// position): consecutive hits at most one symbol apart belong together.
+pub(crate) fn extends_cluster(sps: usize, cluster: &[(usize, f64)], pos: usize) -> bool {
+    cluster.last().is_some_and(|&(last, _)| pos - last <= sps)
+}
+
+/// Absolute sample range `[lo, hi)` that confirming a cluster spanning
+/// hits `first..=last` reads: back to the earliest frame hypothesis of
+/// the earliest hit (12.5 symbols before it, rounded up to 13), forward
+/// to the end of the second full down-chirp of the latest hypothesis of
+/// the last hit (3.5 symbols after it).
+pub(crate) fn confirm_reach(sps: usize, first: usize, last: usize) -> (usize, usize) {
+    (first.saturating_sub(13 * sps), last + 7 * (sps / 2))
 }
 
 /// Down-chirp based preamble detector (the CIC method).
@@ -62,59 +99,110 @@ impl PreambleDetector {
         if capture.len() < self.layout.data_start {
             return Vec::new();
         }
-        let hop = sps / 2;
 
         // Coarse scan: up-dechirp every hop and score the peak.
         let mut coarse: Vec<(usize, f64)> = Vec::new();
-        let mut w = 0;
-        while w + sps <= capture.len() {
-            let spec = self
-                .demod
-                .folded_spectrum(&self.demod.updechirp(&capture[w..w + sps]));
-            if let Some((_, p)) = spec.argmax() {
-                let floor = spec.median_power();
-                if floor > 0.0 && p / floor >= self.config.preamble_peak_threshold {
-                    coarse.push((w, p / floor));
-                }
-            }
-            w += hop;
-        }
+        self.coarse_scan(capture, 0, 0, &mut CoarseScratch::default(), &mut coarse);
 
         // Cluster adjacent hits: the 2.25 down-chirps light up several
         // consecutive windows. Under load, down-chirp regions of
         // *different* packets can sit side by side, so a cluster may hold
-        // more than one packet: confirm several windows per cluster and
-        // keep every distinct verified frame.
+        // more than one packet: `confirm_cluster` tries several windows
+        // per cluster and keeps every distinct verified frame.
         let mut clusters: Vec<Vec<(usize, f64)>> = Vec::new();
         for (pos, score) in coarse {
             match clusters.last_mut() {
-                Some(cluster) if pos - cluster.last().unwrap().0 <= sps => {
-                    cluster.push((pos, score));
-                }
+                Some(cluster) if extends_cluster(sps, cluster, pos) => cluster.push((pos, score)),
                 _ => clusters.push(vec![(pos, score)]),
             }
         }
 
         let mut detections: Vec<Detection> = Vec::new();
         for mut cluster in clusters {
-            // Order windows strongest-first: the highest score can come
-            // from a window straddling the sync words and the down-chirps
-            // whose sync estimate is unusable, so weaker in-cluster
-            // windows are tried too.
-            cluster.sort_by(|a, b| b.1.total_cmp(&a.1));
-            for &(pos, score) in cluster.iter().take(4) {
-                if let Some(det) = self.confirm(capture, pos, score) {
-                    let dup = detections
-                        .iter()
-                        .any(|d| d.frame_start.abs_diff(det.frame_start) < sps / 2);
-                    if !dup {
-                        detections.push(det);
-                    }
+            self.confirm_cluster(capture, 0, &mut cluster, |det| {
+                let dup = detections
+                    .iter()
+                    .any(|d| d.frame_start.abs_diff(det.frame_start) < sps / 2);
+                if !dup {
+                    detections.push(det);
                 }
-            }
+            });
         }
         detections.sort_by_key(|d| d.frame_start);
         detections
+    }
+
+    /// The coarse down-chirp scan: score every window `[w, w + sps)` on
+    /// the half-symbol hop grid (absolute positions that are multiples
+    /// of `sps / 2`), from the first grid position at or after `from`
+    /// while the window fits in `capture`, and append `(w, score)` for
+    /// each window whose up-dechirped peak-to-median ratio reaches the
+    /// preamble threshold. `capture[0]` sits at absolute position
+    /// `origin`; positions in and out are absolute. Returns the first
+    /// grid position not scanned, where the next call resumes.
+    ///
+    /// Allocation-free once `scratch` and `hits` have grown: the window
+    /// product, padded transform, folded spectrum and median selection
+    /// all reuse `scratch`. Scores are bit-identical to the allocating
+    /// `folded_spectrum(updechirp(..))` + `median_power` path.
+    pub fn coarse_scan(
+        &self,
+        capture: &[Cf32],
+        origin: usize,
+        from: usize,
+        scratch: &mut CoarseScratch,
+        hits: &mut Vec<(usize, f64)>,
+    ) -> usize {
+        let sps = self.params().samples_per_symbol();
+        let hop = sps / 2;
+        let up = self.demod.table().up();
+        let mut w = from.max(origin).div_ceil(hop) * hop;
+        while w + sps <= origin + capture.len() {
+            let window = &capture[w - origin..w - origin + sps];
+            lora_dsp::math::multiply_into(window, &up[..sps], &mut scratch.window);
+            self.demod.folded_spectrum_scratch(
+                &scratch.window,
+                &mut scratch.spec,
+                &mut scratch.folded,
+            );
+            if let Some((_, p)) = scratch.folded.argmax() {
+                let floor = scratch.folded.median_power_with(&mut scratch.median);
+                if floor > 0.0 && p / floor >= self.config.preamble_peak_threshold {
+                    hits.push((w, p / floor));
+                }
+            }
+            w += hop;
+        }
+        w
+    }
+
+    /// Confirm one coarse cluster (hits sorted by position, absolute) into
+    /// detections, handing each verified frame to `accept` in the order
+    /// batch detection considers them; `accept` owns the duplicate check.
+    /// `capture[0]` sits at absolute position `origin`, and the frame
+    /// starts handed out are absolute.
+    ///
+    /// Confirmation reads `capture` over [`confirm_reach`] of the
+    /// cluster; given at least that span, the result does not depend on
+    /// what else `capture` holds.
+    pub(crate) fn confirm_cluster(
+        &self,
+        capture: &[Cf32],
+        origin: usize,
+        cluster: &mut [(usize, f64)],
+        mut accept: impl FnMut(Detection),
+    ) {
+        // Order windows strongest-first: the highest score can come
+        // from a window straddling the sync words and the down-chirps
+        // whose sync estimate is unusable, so weaker in-cluster
+        // windows are tried too.
+        cluster.sort_by(|a, b| b.1.total_cmp(&a.1));
+        for &(pos, score) in cluster.iter().take(4) {
+            if let Some(mut det) = self.confirm(capture, pos - origin, score) {
+                det.frame_start += origin;
+                accept(det);
+            }
+        }
     }
 
     /// Refine a coarse down-chirp hit into a confirmed detection.

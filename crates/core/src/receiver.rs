@@ -103,8 +103,8 @@ impl CicReceiver {
         PreambleDetector::new(self.params, self.config.clone()).detect(capture)
     }
 
-    /// Build the tracker for a set of detections.
-    fn tracker(&self, detections: &[Detection]) -> Tracker {
+    /// Build the tracker for a set of detections (tracker id = index).
+    pub(crate) fn tracker(&self, detections: &[Detection]) -> Tracker {
         let n_data = self.n_data_symbols();
         let txs = detections
             .iter()
@@ -141,7 +141,7 @@ impl CicReceiver {
     /// The pure-CIC pipeline (detection, per-packet decode, candidate
     /// exclusion passes) with no residual cancellation, sequential or
     /// threaded. The SIC stage re-enters here for each residual pass.
-    fn receive_cic(&self, capture: &[Cf32], n_threads: usize) -> Vec<DecodedPacket> {
+    pub(crate) fn receive_cic(&self, capture: &[Cf32], n_threads: usize) -> Vec<DecodedPacket> {
         if n_threads > 1 {
             self.receive_cic_par(capture, n_threads)
         } else {
@@ -157,7 +157,7 @@ impl CicReceiver {
         let empty = std::collections::HashMap::new();
         let mut packets: Vec<DecodedPacket> = detections
             .iter()
-            .map(|d| self.decode_one(capture, &tracker, &demod, d, &empty, &mut scratch))
+            .map(|d| self.decode_one(capture, 0, &tracker, &demod, d, &empty, &mut scratch))
             .collect();
         self.iterate_passes(
             capture,
@@ -199,7 +199,7 @@ impl CicReceiver {
                     continue;
                 }
                 let retry =
-                    self.decode_one(capture, tracker, demod, det, &decoded_symbols, scratch);
+                    self.decode_one(capture, 0, tracker, demod, det, &decoded_symbols, scratch);
                 if retry.ok() {
                     progressed = true;
                     packets[id] = retry;
@@ -208,6 +208,37 @@ impl CicReceiver {
             if !progressed {
                 break;
             }
+        }
+    }
+
+    /// Decode one detection the way the batch passes treat it, for the
+    /// streaming receiver: `capture[0]` sits at absolute position
+    /// `origin`, and `tracker` lists the interferers (absolute frame
+    /// starts, the target included). A plain decode comes first; if it
+    /// fails and `decode_passes > 1`, one retry excludes the data tones
+    /// of `known` — the symbols of neighbours already decoded CRC-clean,
+    /// keyed by tracker id — and is kept only if it passes CRC.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn decode_detection(
+        &self,
+        capture: &[Cf32],
+        origin: usize,
+        tracker: &Tracker,
+        demod: &CicDemodulator,
+        detection: &Detection,
+        known: &std::collections::HashMap<usize, Vec<usize>>,
+        scratch: &mut DemodScratch,
+    ) -> DecodedPacket {
+        let empty = std::collections::HashMap::new();
+        let first = self.decode_one(capture, origin, tracker, demod, detection, &empty, scratch);
+        if first.ok() || self.config.decode_passes < 2 || known.is_empty() {
+            return first;
+        }
+        let retry = self.decode_one(capture, origin, tracker, demod, detection, known, scratch);
+        if retry.ok() {
+            retry
+        } else {
+            first
         }
     }
 
@@ -378,6 +409,7 @@ impl CicReceiver {
                     for (d, slot) in det_chunk.iter().zip(res_chunk.iter_mut()) {
                         *slot = Some(self.decode_one(
                             capture,
+                            0,
                             tracker,
                             &demod,
                             d,
@@ -406,12 +438,16 @@ impl CicReceiver {
         packets
     }
 
-    /// Demodulate and decode one detected packet. `decoded_symbols` holds
-    /// the data symbols of packets already decoded in earlier passes;
-    /// `scratch` is the caller's per-thread demod arena.
+    /// Demodulate and decode one detected packet. `capture[0]` sits at
+    /// absolute position `origin` (0 for a whole capture), the position
+    /// frame starts and tracker boundaries are counted in;
+    /// `decoded_symbols` holds the data symbols of packets already decoded
+    /// in earlier passes; `scratch` is the caller's per-thread demod arena.
+    #[allow(clippy::too_many_arguments)]
     fn decode_one(
         &self,
         capture: &[Cf32],
+        origin: usize,
         tracker: &Tracker,
         demod: &CicDemodulator,
         detection: &Detection,
@@ -441,14 +477,14 @@ impl CicReceiver {
         let mut de = std::mem::take(&mut scratch.de);
         for k in 0..n_data {
             let start = detection.frame_start + layout.data_symbol_start(k);
-            if start + sps > capture.len() {
+            if start + sps > origin + capture.len() {
                 truncated += 1;
                 symbols.push(0);
                 continue;
             }
             // Derotate the window by the estimated CFO, then de-chirp.
             win.clear();
-            win.extend_from_slice(&capture[start..start + sps]);
+            win.extend_from_slice(&capture[start - origin..start - origin + sps]);
             for (i, c) in win.iter_mut().enumerate() {
                 let ph = (derot_step * i as f64) % std::f64::consts::TAU;
                 *c *= Cf32::from_polar(1.0, ph as f32);

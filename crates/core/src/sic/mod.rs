@@ -90,7 +90,7 @@ pub struct SicReport {
     /// Subtractions abandoned because the fit failed the match gate.
     pub abandoned: u64,
     /// Reference regenerations served from the waveform cache (the same
-    /// packet re-offered on a later streaming push or pass).
+    /// packet offered again on a later residual pass of one call).
     pub ref_cache_hits: u64,
     /// Reference waveforms that had to be modulated from scratch.
     pub ref_cache_misses: u64,

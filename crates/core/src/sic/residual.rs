@@ -9,13 +9,13 @@
 //! timing/CFO/gain against the buffer ([`crate::sic::estimate`]), and
 //! subtract the scaled reference ([`crate::sic::subtract`]). The
 //! receiver then re-runs CIC over [`ResidualBuffer::samples`] to find
-//! packets that were buried. A buffer is *not* kept across captures:
-//! the streaming receiver reloads it from its bounded window every
-//! push, so eviction stays the window's concern.
+//! packets that were buried. The streaming receiver instead keeps one
+//! residual alive across pushes, mirroring its sample window
+//! ([`ResidualBuffer::extend`], [`ResidualBuffer::drain_front`]), so each
+//! decoded packet is subtracted exactly once over the stream.
 //!
-//! Because the streaming receiver re-offers the same decoded packets on
-//! consecutive pushes (a packet stays inside the retained window for
-//! several chunks), the buffer memoizes regenerated reference waveforms
+//! Within one batch call a packet can still be offered on more than one
+//! residual pass, so the buffer memoizes regenerated reference waveforms
 //! keyed by packet identity (symbols + quantized CFO). The cached copy
 //! is the *pristine* modulated frame — [`refine`] adjusts its timing and
 //! residual CFO in place against the current residual, so every hit
@@ -83,6 +83,18 @@ impl ResidualBuffer {
     pub fn load(&mut self, capture: &[Cf32]) {
         self.residual.clear();
         self.residual.extend_from_slice(capture);
+    }
+
+    /// Append samples to the residual (new stream samples that no
+    /// decoded packet has touched yet).
+    pub fn extend(&mut self, samples: &[Cf32]) {
+        self.residual.extend_from_slice(samples);
+    }
+
+    /// Drop the first `n` samples (window eviction; saturates at the
+    /// buffer length).
+    pub fn drain_front(&mut self, n: usize) {
+        self.residual.drain(..n.min(self.residual.len()));
     }
 
     /// The current residual.

@@ -1,6 +1,6 @@
-//! Heap discipline of the demod hot path: once the scratch arena, FFT
-//! plans and engine caches are warm, a `demodulate_with` loop performs
-//! **zero** heap allocations.
+//! Heap discipline of the hot paths: once the scratch arenas, FFT plans
+//! and engine caches are warm, a `demodulate_with` loop and the
+//! detector's coarse hop scan perform **zero** heap allocations.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! replays the same window set once to warm every buffer, snapshots the
@@ -11,11 +11,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cic::{Boundaries, CicConfig, CicDemodulator, DemodScratch, SymbolContext};
+use cic::{
+    Boundaries, CicConfig, CicDemodulator, CoarseScratch, DemodScratch, PreambleDetector,
+    SymbolContext,
+};
 use lora_channel::{add_unit_noise, amplitude_for_snr, superpose, Emission};
 use lora_dsp::Cf32;
 use lora_phy::chirp::symbol_waveform;
-use lora_phy::params::LoraParams;
+use lora_phy::packet::Transceiver;
+use lora_phy::params::{CodeRate, LoraParams};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -98,6 +102,26 @@ fn windows(p: &LoraParams) -> Vec<(Vec<Cf32>, Boundaries, SymbolContext)> {
     out
 }
 
+/// A capture with one packet in noise: the scan passes through noise
+/// windows and the packet's down-chirp hits.
+fn scan_capture(p: &LoraParams) -> Vec<Cf32> {
+    let x = Transceiver::new(*p, CodeRate::Cr45);
+    let wave = x.waveform(&[7u8; 12]);
+    let start = 5 * p.samples_per_symbol() + 123;
+    let mut cap = superpose(
+        p,
+        start + wave.len() + 4 * p.samples_per_symbol(),
+        &[Emission {
+            waveform: wave,
+            amplitude: amplitude_for_snr(10.0, p.oversampling()),
+            start_sample: start,
+            cfo_hz: 900.0,
+        }],
+    );
+    add_unit_noise(&mut StdRng::seed_from_u64(0x5CA7), &mut cap);
+    cap
+}
+
 #[test]
 fn warm_demodulate_loop_is_allocation_free() {
     let p = LoraParams::new(9, 250e3, 4).unwrap();
@@ -143,4 +167,30 @@ fn warm_demodulate_loop_is_allocation_free() {
         .map(|(v, _)| *v)
         .sum();
     assert_eq!(values, warm_sum.wrapping_mul(3));
+
+    // The coarse hop scan of preamble detection: warm the scratch and the
+    // hit list once, then rescan the same capture.
+    let detector = PreambleDetector::new(p, CicConfig::default());
+    let cap = scan_capture(&p);
+    let mut coarse = CoarseScratch::default();
+    let mut hits = Vec::new();
+    detector.coarse_scan(&cap, 0, 0, &mut coarse, &mut hits);
+    let warm_hits = hits.clone();
+    assert!(!warm_hits.is_empty(), "the packet's down-chirps must hit");
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let mut next = 0;
+    for _ in 0..3 {
+        hits.clear();
+        next = detector.coarse_scan(&cap, 0, 0, &mut coarse, &mut hits);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "warm coarse scan allocated {} times over {} hops",
+        after - before,
+        3 * next / (p.samples_per_symbol() / 2)
+    );
+    assert_eq!(hits, warm_hits);
 }

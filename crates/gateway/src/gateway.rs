@@ -283,9 +283,9 @@ fn worker_loop(ctx: WorkerCtx, mut sr: StreamingReceiver) {
         match ctx.queue.pop_timeout(ctx.idle_timeout) {
             Pop::Closed => break,
             Pop::Idle => {
-                // Caught up with everything produced so far. Emit what
-                // the buffer can still complete (keeping the push-time
-                // suppressions — this is not a drain) and publish a
+                // Caught up with everything produced so far. Emit every
+                // tracked packet whose frame is complete (this is not a
+                // drain: partial frames are given up) and publish a
                 // watermark at the *full* position: nothing we report
                 // later can start before it, because the buffer is empty.
                 if shed_since.is_none() {
