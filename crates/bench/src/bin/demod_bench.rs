@@ -17,17 +17,28 @@
 //! cost of pushing it through a [`cic::StreamingReceiver`] in 4 k, 16 k
 //! and 64 k chunks against one batch `receive` over the whole capture
 //! (median per-rep ratio over at least 5 reps); a receiver that decodes
-//! every frame once stays near 1×. CI smoke-runs this with `--quick`, validates the
-//! schema, and fails if the scratch path is slower than the wrapper path
-//! on any cell or streaming costs more than 1.2× batch on any row.
+//! every frame once stays near 1×.
+//!
+//! The `detect_rows` time batch [`cic::PreambleDetector::detect`] (best of
+//! the reps, as seconds per air-second) on the 3 s `Scenario::paper(D2,
+//! 30 pps)` capture (seed 11) and on the two busy captures, and count
+//! through a [`cic::DetectScratch`] the window summaries confirmation
+//! requested and the window transforms it performed, per confirmed
+//! cluster. The counts are deterministic, so they are gated without host
+//! noise.
+//!
+//! CI smoke-runs this with `--quick`, validates the schema, and fails if
+//! the scratch path is slower than the wrapper path on any cell,
+//! streaming costs more than 1.2× batch on any row, or confirmation
+//! needs more transforms per cluster than its bound.
 //!
 //! Usage: `demod_bench [--windows <n>] [--reps <n>] [--quick] [--out <path>]`
 
 use std::time::Instant;
 
 use cic::{
-    Boundaries, CicConfig, CicDemodulator, CicReceiver, DemodScratch, StreamingReceiver,
-    SymbolContext,
+    Boundaries, CicConfig, CicDemodulator, CicReceiver, DemodScratch, DetectScratch,
+    PreambleDetector, StreamingReceiver, SymbolContext,
 };
 use lora_channel::{add_unit_noise, amplitude_for_snr, superpose, DeploymentKind, Emission};
 use lora_dsp::Cf32;
@@ -169,20 +180,18 @@ fn windows(
         .collect()
 }
 
-/// Streaming push cost against batch `receive` cost on one busy capture
-/// per SF: D2 traffic at a rate that keeps about two frames on the air
-/// at once, `seconds` long. Each rep times batch and then every chunking
-/// back to back, so host contention hits both sides of a ratio alike;
-/// a row reports the median over reps of the per-rep ratio (and the
-/// best time of each side).
+/// Streaming push cost against batch `receive` cost on the busy capture
+/// of each SF, `seconds` long. Each rep times batch and then every
+/// chunking back to back, so host contention hits both sides of a ratio
+/// alike; a row reports the median over reps of the per-rep ratio (and
+/// the best time of each side).
 fn stream_rows(opts: &Opts) -> Vec<JsonValue> {
     let seconds = if opts.quick { 0.6 } else { 2.0 };
     let reps = opts.reps.max(5);
     let chunks = [4096usize, 16_384, 65_536];
     let mut rows = Vec::new();
-    for (sf, rate_pps) in [(7u8, 80.0), (9, 30.0)] {
-        let mut scenario = Scenario::paper(DeploymentKind::D2IndoorNlos, rate_pps, seconds, 7);
-        scenario.params = LoraParams::new(sf, 250e3, 4).expect("valid params");
+    for sf in [7u8, 9] {
+        let scenario = busy_scenario(sf, seconds);
         let capture = generate(&scenario);
         let cap = &capture.samples;
         let (p, cr, len) = (scenario.params, scenario.cr, scenario.payload_len);
@@ -239,6 +248,70 @@ fn stream_rows(opts: &Opts) -> Vec<JsonValue> {
                 "stream_over_batch" => ratio,
             });
         }
+    }
+    rows
+}
+
+/// The busy capture of `stream_rows` and `detect_rows` at `sf`: D2
+/// traffic at a rate that keeps about two frames on the air at once.
+fn busy_scenario(sf: u8, seconds: f64) -> Scenario {
+    let rate_pps = if sf == 7 { 80.0 } else { 30.0 };
+    let mut scenario = Scenario::paper(DeploymentKind::D2IndoorNlos, rate_pps, seconds, 7);
+    scenario.params = LoraParams::new(sf, 250e3, 4).expect("valid params");
+    scenario
+}
+
+/// Batch detection cost and confirmation work on the ROADMAP capture
+/// (3 s of `Scenario::paper(D2, 30 pps)`, seed 11, whatever `--quick`)
+/// and on the busy SF7/SF9 captures.
+fn detect_rows(opts: &Opts) -> Vec<JsonValue> {
+    let seconds = if opts.quick { 0.6 } else { 2.0 };
+    let captures = [
+        (
+            "paper_d2_30pps",
+            Scenario::paper(DeploymentKind::D2IndoorNlos, 30.0, 3.0, 11),
+        ),
+        ("busy_sf7", busy_scenario(7, seconds)),
+        ("busy_sf9", busy_scenario(9, seconds)),
+    ];
+    let mut rows = Vec::new();
+    for (name, scenario) in captures {
+        let cap = generate(&scenario).samples;
+        let p = scenario.params;
+        let detector = PreambleDetector::new(p, CicConfig::default());
+        let mut scratch = DetectScratch::default();
+        let detections = detector.detect_with(&cap, &mut scratch).len();
+        let mut best = f64::INFINITY;
+        for _ in 0..opts.reps {
+            let t0 = Instant::now();
+            std::hint::black_box(detector.detect(&cap));
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        let air_s = p.samples_to_seconds(cap.len());
+        let clusters = scratch.clusters().max(1) as f64;
+        let per_cluster = scratch.transforms() as f64 / clusters;
+        println!(
+            "detect {name:>14} (SF{}): {:.3} s per air-s, {detections} detections, \
+             {} clusters, {:.1} window requests and {per_cluster:.1} transforms per cluster",
+            p.sf().value(),
+            best / air_s,
+            scratch.clusters(),
+            scratch.window_requests() as f64 / clusters,
+        );
+        rows.push(json_object! {
+            "capture" => name,
+            "sf" => p.sf().value() as usize,
+            "samples" => cap.len(),
+            "air_s" => air_s,
+            "reps" => opts.reps,
+            "detect_s" => best,
+            "s_per_air_s" => best / air_s,
+            "detections" => detections,
+            "clusters" => scratch.clusters() as usize,
+            "window_requests" => scratch.window_requests() as usize,
+            "transforms" => scratch.transforms() as usize,
+            "transforms_per_cluster" => per_cluster,
+        });
     }
     rows
 }
@@ -329,6 +402,7 @@ fn main() {
     }
 
     let stream = stream_rows(&opts);
+    let detect = detect_rows(&opts);
 
     let doc = json_object! {
         "bench" => "demod",
@@ -337,6 +411,7 @@ fn main() {
         "quick" => opts.quick,
         "rows" => JsonValue::Array(rows),
         "stream_rows" => JsonValue::Array(stream),
+        "detect_rows" => JsonValue::Array(detect),
     };
     std::fs::write(&opts.out, doc.pretty() + "\n").expect("write BENCH_demod.json");
     println!("\nwrote {}", opts.out);

@@ -64,7 +64,7 @@ pub mod tracker;
 
 pub use config::CicConfig;
 pub use demod::{CicDemodulator, Selection, SymbolContext, SymbolDecision};
-pub use preamble::{CoarseScratch, Detection, PreambleDetector};
+pub use preamble::{DetectScratch, Detection, PreambleDetector};
 pub use receiver::{CicReceiver, DecodedPacket};
 pub use scratch::DemodScratch;
 pub use sic::{ResidualBuffer, SicConfig, SicReport};

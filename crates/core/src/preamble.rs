@@ -33,25 +33,243 @@ pub struct Detection {
     pub score: f64,
 }
 
-/// Reusable buffers of [`PreambleDetector::coarse_scan`]: the
-/// up-dechirped window, the padded transform, the folded spectrum and the
-/// median-selection scratch. Empty until the first scan grows them.
+/// Down- and up-dechirped window summaries one cluster's confirmation
+/// keeps at most (64 together); past this, the oldest of a kind is
+/// overwritten (a recomputed summary is identical, so the bound costs
+/// transforms, never results). Of the splits of 64 tried on
+/// `demod_bench`'s detection captures, 44/20 transforms the fewest
+/// windows: up windows recur more (the coherence gate reads them at the
+/// refined frame start as well as at the hypothesis).
+const DOWN_MEMO_CAP: usize = 44;
+const UP_MEMO_CAP: usize = 20;
+
+/// Peaks kept per de-chirped window: the voting depth of the preamble,
+/// sync-word and `f_up` checks.
+const TOP_PEAKS: usize = 6;
+
+/// Peak threshold of the `f_up` vote in [`sync_candidates`].
+const SYNC_PEAK_THRESHOLD: f64 = 3.0;
+
+/// Frame hypotheses [`sync_candidates`] yields at most: two timing
+/// offsets times three down-chirp indices.
+const MAX_CANDIDATES: usize = 6;
+
+/// The strongest peaks of one window, strongest first.
+#[derive(Debug, Clone, Copy)]
+struct TopPeaks {
+    peaks: [peaks::Peak; TOP_PEAKS],
+    len: usize,
+}
+
+impl TopPeaks {
+    const EMPTY: Self = Self {
+        peaks: [peaks::Peak {
+            bin: 0,
+            power: 0.0,
+            frac_bin: 0.0,
+        }; TOP_PEAKS],
+        len: 0,
+    };
+
+    /// The first [`TOP_PEAKS`] of `found`.
+    fn first_of(found: &[peaks::Peak]) -> Self {
+        let mut out = Self::EMPTY;
+        out.len = found.len().min(TOP_PEAKS);
+        out.peaks[..out.len].copy_from_slice(&found[..out.len]);
+        out
+    }
+
+    fn as_slice(&self) -> &[peaks::Peak] {
+        &self.peaks[..self.len]
+    }
+}
+
+/// What confirmation reads of one down-dechirped (`× C_0^*`) window.
+#[derive(Debug, Clone, Copy)]
+struct DownSummary {
+    /// `find_peaks` at [`SYNC_PEAK_THRESHOLD`], raw powers: the `f_up`
+    /// vote of [`sync_candidates`].
+    wide: TopPeaks,
+    /// `find_peaks` at the preamble threshold, each power replaced by its
+    /// 3-bin lobe energy: the preamble vote and the sync-word check.
+    lobes: TopPeaks,
+}
+
+/// What confirmation reads of one up-dechirped window.
+#[derive(Debug, Clone, Copy)]
+struct UpSummary {
+    /// Strongest bin and its power.
+    argmax: Option<(usize, f64)>,
+    /// `refine_sinc` at the strongest bin (0 without one).
+    frac: f64,
+    /// Median bin power.
+    median: f64,
+}
+
+/// Summaries of up to `CAP` windows keyed by window start, overwritten
+/// oldest-first once full.
 #[derive(Debug)]
-pub struct CoarseScratch {
+struct Memo<T, const CAP: usize> {
+    starts: Vec<usize>,
+    summaries: Vec<T>,
+    next_slot: usize,
+}
+
+impl<T: Copy, const CAP: usize> Memo<T, CAP> {
+    fn new() -> Self {
+        Self {
+            starts: Vec::new(),
+            summaries: Vec::new(),
+            next_slot: 0,
+        }
+    }
+
+    fn get(&self, start: usize) -> Option<T> {
+        let i = self.starts.iter().position(|&s| s == start)?;
+        Some(self.summaries[i])
+    }
+
+    fn insert(&mut self, start: usize, summary: T) {
+        if self.starts.len() < CAP {
+            self.starts.push(start);
+            self.summaries.push(summary);
+        } else {
+            self.starts[self.next_slot] = start;
+            self.summaries[self.next_slot] = summary;
+            self.next_slot = (self.next_slot + 1) % CAP;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.starts.clear();
+        self.summaries.clear();
+        self.next_slot = 0;
+    }
+}
+
+/// Reusable state of the detector: the de-chirped window, padded
+/// transform, folded spectrum and selection buffers that
+/// [`PreambleDetector::coarse_scan`] and
+/// [`PreambleDetector::confirm_cluster`] share, and confirmation's memos
+/// of window summaries. Frame hypotheses one symbol apart share most of
+/// their windows, so within one cluster every (window start, de-chirp
+/// direction) pair is transformed once and then read from a memo.
+/// Empty until the first scan or confirmation grows it; allocation-free
+/// after that.
+#[derive(Debug)]
+pub struct DetectScratch {
     window: Vec<Cf32>,
     spec: SpectrumScratch,
     folded: Spectrum,
     median: Vec<f64>,
+    found: Vec<peaks::Peak>,
+    down: Memo<DownSummary, DOWN_MEMO_CAP>,
+    up: Memo<UpSummary, UP_MEMO_CAP>,
+    /// Preamble peak threshold of the `lobes` sets.
+    threshold: f64,
+    clusters: u64,
+    requests: u64,
+    transforms: u64,
 }
 
-impl Default for CoarseScratch {
+impl Default for DetectScratch {
     fn default() -> Self {
         Self {
             window: Vec::new(),
             spec: SpectrumScratch::new(),
             folded: Spectrum::from_power(Vec::new()),
             median: Vec::new(),
+            found: Vec::new(),
+            down: Memo::new(),
+            up: Memo::new(),
+            threshold: 0.0,
+            clusters: 0,
+            requests: 0,
+            transforms: 0,
         }
+    }
+}
+
+impl DetectScratch {
+    /// Clusters confirmed through this scratch.
+    pub fn clusters(&self) -> u64 {
+        self.clusters
+    }
+
+    /// Window summaries the confirmations asked for.
+    pub fn window_requests(&self) -> u64 {
+        self.requests
+    }
+
+    /// Window transforms performed: requests the memos did not answer.
+    pub fn transforms(&self) -> u64 {
+        self.transforms
+    }
+
+    /// Forget every summary: a new cluster reads a new capture span.
+    fn reset(&mut self, threshold: f64) {
+        self.down.clear();
+        self.up.clear();
+        self.threshold = threshold;
+    }
+
+    /// Transform the window at `start` de-chirped by `chirp` into
+    /// `self.folded`.
+    fn transform(&mut self, demod: &Demodulator, capture: &[Cf32], start: usize, chirp: &[Cf32]) {
+        let sps = demod.params().samples_per_symbol();
+        lora_dsp::math::multiply_into(
+            &capture[start..start + sps],
+            &chirp[..sps],
+            &mut self.window,
+        );
+        demod.folded_spectrum_scratch(&self.window, &mut self.spec, &mut self.folded);
+    }
+
+    /// The summary of the down-dechirped window at `start`.
+    fn down(&mut self, demod: &Demodulator, capture: &[Cf32], start: usize) -> DownSummary {
+        self.requests += 1;
+        if let Some(s) = self.down.get(start) {
+            return s;
+        }
+        self.transforms += 1;
+        self.transform(demod, capture, start, demod.table().down());
+        let spec = &self.folded;
+        let n = spec.len();
+        peaks::find_peaks_into(
+            spec,
+            SYNC_PEAK_THRESHOLD,
+            1,
+            &mut self.median,
+            &mut self.found,
+        );
+        let wide = TopPeaks::first_of(&self.found);
+        peaks::find_peaks_into(spec, self.threshold, 1, &mut self.median, &mut self.found);
+        let mut lobes = TopPeaks::first_of(&self.found);
+        for p in &mut lobes.peaks[..lobes.len] {
+            p.power = spec[p.bin] + spec[(p.bin + 1) % n] + spec[(p.bin + n - 1) % n];
+        }
+        let s = DownSummary { wide, lobes };
+        self.down.insert(start, s);
+        s
+    }
+
+    /// The summary of the up-dechirped window at `start`.
+    fn up(&mut self, demod: &Demodulator, capture: &[Cf32], start: usize) -> UpSummary {
+        self.requests += 1;
+        if let Some(s) = self.up.get(start) {
+            return s;
+        }
+        self.transforms += 1;
+        self.transform(demod, capture, start, demod.table().up());
+        let spec = &self.folded;
+        let argmax = spec.argmax();
+        let s = UpSummary {
+            argmax,
+            frac: argmax.map_or(0.0, |(bin, _)| peaks::refine_sinc(spec, bin)),
+            median: spec.median_power_with(&mut self.median),
+        };
+        self.up.insert(start, s);
+        s
     }
 }
 
@@ -95,6 +313,12 @@ impl PreambleDetector {
     /// Scan a capture and return all confirmed detections, sorted by
     /// frame start.
     pub fn detect(&self, capture: &[Cf32]) -> Vec<Detection> {
+        self.detect_with(capture, &mut DetectScratch::default())
+    }
+
+    /// [`Self::detect`] confirming through a caller-held scratch, whose
+    /// counters then cover this call too.
+    pub fn detect_with(&self, capture: &[Cf32], scratch: &mut DetectScratch) -> Vec<Detection> {
         let sps = self.params().samples_per_symbol();
         if capture.len() < self.layout.data_start {
             return Vec::new();
@@ -102,7 +326,7 @@ impl PreambleDetector {
 
         // Coarse scan: up-dechirp every hop and score the peak.
         let mut coarse: Vec<(usize, f64)> = Vec::new();
-        self.coarse_scan(capture, 0, 0, &mut CoarseScratch::default(), &mut coarse);
+        self.coarse_scan(capture, 0, 0, scratch, &mut coarse);
 
         // Cluster adjacent hits: the 2.25 down-chirps light up several
         // consecutive windows. Under load, down-chirp regions of
@@ -119,7 +343,7 @@ impl PreambleDetector {
 
         let mut detections: Vec<Detection> = Vec::new();
         for mut cluster in clusters {
-            self.confirm_cluster(capture, 0, &mut cluster, |det| {
+            self.confirm_cluster(capture, 0, &mut cluster, scratch, |det| {
                 let dup = detections
                     .iter()
                     .any(|d| d.frame_start.abs_diff(det.frame_start) < sps / 2);
@@ -150,21 +374,14 @@ impl PreambleDetector {
         capture: &[Cf32],
         origin: usize,
         from: usize,
-        scratch: &mut CoarseScratch,
+        scratch: &mut DetectScratch,
         hits: &mut Vec<(usize, f64)>,
     ) -> usize {
         let sps = self.params().samples_per_symbol();
         let hop = sps / 2;
-        let up = self.demod.table().up();
         let mut w = from.max(origin).div_ceil(hop) * hop;
         while w + sps <= origin + capture.len() {
-            let window = &capture[w - origin..w - origin + sps];
-            lora_dsp::math::multiply_into(window, &up[..sps], &mut scratch.window);
-            self.demod.folded_spectrum_scratch(
-                &scratch.window,
-                &mut scratch.spec,
-                &mut scratch.folded,
-            );
+            scratch.transform(&self.demod, capture, w - origin, self.demod.table().up());
             if let Some((_, p)) = scratch.folded.argmax() {
                 let floor = scratch.folded.median_power_with(&mut scratch.median);
                 if floor > 0.0 && p / floor >= self.config.preamble_peak_threshold {
@@ -184,21 +401,27 @@ impl PreambleDetector {
     ///
     /// Confirmation reads `capture` over [`confirm_reach`] of the
     /// cluster; given at least that span, the result does not depend on
-    /// what else `capture` holds.
-    pub(crate) fn confirm_cluster(
+    /// what else `capture` holds. Allocation-free once `scratch` has
+    /// grown: every window is transformed at most once per call and read
+    /// back from the scratch's memo.
+    pub fn confirm_cluster(
         &self,
         capture: &[Cf32],
         origin: usize,
         cluster: &mut [(usize, f64)],
+        scratch: &mut DetectScratch,
         mut accept: impl FnMut(Detection),
     ) {
+        scratch.reset(self.config.preamble_peak_threshold);
+        scratch.clusters += 1;
         // Order windows strongest-first: the highest score can come
         // from a window straddling the sync words and the down-chirps
         // whose sync estimate is unusable, so weaker in-cluster
-        // windows are tried too.
-        cluster.sort_by(|a, b| b.1.total_cmp(&a.1));
+        // windows are tried too. Positions are distinct, so the
+        // position tie-break gives the stable order without a buffer.
+        cluster.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         for &(pos, score) in cluster.iter().take(4) {
-            if let Some(mut det) = self.confirm(capture, pos - origin, score) {
+            if let Some(mut det) = self.confirm(capture, pos - origin, score, scratch) {
                 det.frame_start += origin;
                 accept(det);
             }
@@ -212,60 +435,83 @@ impl PreambleDetector {
     /// offset of ±10 ppm rotates the carrier through several full cycles
     /// per symbol and nulls any long coherent correlation, while the
     /// de-chirped peak positions simply shift by the CFO.
-    fn confirm(&self, capture: &[Cf32], coarse_pos: usize, score: f64) -> Option<Detection> {
-        // Secondary discriminator between candidates: the weaker of the
-        // up-dechirped peaks at the two hypothesised full down-chirp
-        // positions. A half-symbol-shifted hypothesis still verifies (the
-        // repeated-C0 preamble aliases into stable tones at any offset)
-        // but each of its "down-chirp" windows is only half a down-chirp
-        // (~6 dB weaker); a full-symbol shift lands one window on a real
-        // down-chirp but the other on the quarter-chirp + data, so the
-        // *min* over both windows exposes every shift.
-        let dc_coherence = |frame_start: usize| -> (f64, f64) {
-            let sps = self.params().samples_per_symbol();
-            let mut min_power = f64::INFINITY;
-            let mut first_ratio = 0.0;
-            for m in 0..2 {
-                let a = frame_start + self.layout.downchirp_start + m * sps;
-                if a + sps > capture.len() {
-                    return (0.0, 0.0);
-                }
-                let spec = self
-                    .demod
-                    .folded_spectrum(&self.demod.updechirp(&capture[a..a + sps]));
-                let peak = spec.argmax().map(|(_, p)| p).unwrap_or(0.0);
-                min_power = min_power.min(peak);
-                if m == 0 {
-                    let floor = spec.median_power();
-                    first_ratio = if floor > 0.0 { peak / floor } else { 0.0 };
-                }
-            }
-            (min_power, first_ratio)
+    fn confirm(
+        &self,
+        capture: &[Cf32],
+        coarse_pos: usize,
+        score: f64,
+        scratch: &mut DetectScratch,
+    ) -> Option<Detection> {
+        let unset = Detection {
+            frame_start: 0,
+            cfo_bins: 0.0,
+            peak_power: 0.0,
+            score: 0.0,
         };
-        let mut verified: Vec<(Detection, usize, f64)> = Vec::new();
-        for frame_start in sync_candidates(&self.demod, &self.layout, capture, coarse_pos) {
-            if let Some((det, votes, syncs)) = self.verify_preamble(capture, frame_start, score) {
+        let mut verified = [(unset, 0usize, 0.0f64); MAX_CANDIDATES];
+        let mut n_verified = 0;
+        let (candidates, n_candidates) =
+            sync_candidates_in(&self.demod, &self.layout, capture, coarse_pos, scratch);
+        for &frame_start in &candidates[..n_candidates] {
+            if let Some((det, votes, syncs)) =
+                self.verify_preamble(capture, frame_start, score, scratch)
+            {
                 let quality = votes + syncs;
-                let (dc, dc_ratio) = dc_coherence(det.frame_start);
+                let (dc, dc_ratio) = self.dc_coherence(capture, det.frame_start, scratch);
                 // Absolute gate: a true frame has a strong coherent tone
                 // in its first down-chirp window; coincidental voting
                 // runs in data regions do not.
                 if dc_ratio < self.config.preamble_peak_threshold {
                     continue;
                 }
-                verified.push((det, quality, dc));
+                verified[n_verified] = (det, quality, dc);
+                n_verified += 1;
             }
         }
         // Preamble-vote counts can differ by one from noise alone, while
         // the down-chirp coherence gap between the true alignment and any
         // shifted one is ~6 dB. Shortlist near-best quality, then let
         // coherence decide.
+        let verified = &verified[..n_verified];
         let max_q = verified.iter().map(|v| v.1).max()?;
         verified
-            .into_iter()
+            .iter()
             .filter(|v| v.1 + 1 >= max_q)
             .max_by(|a, b| a.2.total_cmp(&b.2))
-            .map(|(d, _, _)| d)
+            .map(|&(d, _, _)| d)
+    }
+
+    /// Secondary discriminator between candidates: the weaker of the
+    /// up-dechirped peaks at the two hypothesised full down-chirp
+    /// positions, and the first one's peak-to-median ratio. A
+    /// half-symbol-shifted hypothesis still verifies (the repeated-C0
+    /// preamble aliases into stable tones at any offset) but each of its
+    /// "down-chirp" windows is only half a down-chirp (~6 dB weaker); a
+    /// full-symbol shift lands one window on a real down-chirp but the
+    /// other on the quarter-chirp + data, so the *min* over both windows
+    /// exposes every shift.
+    fn dc_coherence(
+        &self,
+        capture: &[Cf32],
+        frame_start: usize,
+        scratch: &mut DetectScratch,
+    ) -> (f64, f64) {
+        let sps = self.params().samples_per_symbol();
+        let mut min_power = f64::INFINITY;
+        let mut first_ratio = 0.0;
+        for m in 0..2 {
+            let a = frame_start + self.layout.downchirp_start + m * sps;
+            if a + sps > capture.len() {
+                return (0.0, 0.0);
+            }
+            let s = scratch.up(&self.demod, capture, a);
+            let peak = s.argmax.map(|(_, p)| p).unwrap_or(0.0);
+            min_power = min_power.min(peak);
+            if m == 0 {
+                first_ratio = if s.median > 0.0 { peak / s.median } else { 0.0 };
+            }
+        }
+        (min_power, first_ratio)
     }
 
     /// Check the 8 up-chirps + sync words at a hypothesised frame start;
@@ -275,6 +521,7 @@ impl PreambleDetector {
         capture: &[Cf32],
         frame_start: usize,
         score: f64,
+        scratch: &mut DetectScratch,
     ) -> Option<(Detection, usize, usize)> {
         let sps = self.params().samples_per_symbol();
         let n = self.params().n_bins();
@@ -289,34 +536,25 @@ impl PreambleDetector {
         // bin repeats in all 8, interfering data bins change per symbol.
         // Each peak's power is its 3-bin lobe energy, matching how the
         // demodulator's power filter measures candidates.
-        let mut window_peaks: Vec<Vec<peaks::Peak>> = Vec::with_capacity(PREAMBLE_UPCHIRPS);
-        for k in 0..PREAMBLE_UPCHIRPS {
-            let a = frame_start + k * sps;
-            let de = self.demod.dechirp(&capture[a..a + sps]);
-            let spec = self.demod.folded_spectrum(&de);
-            let mut ps = peaks::find_peaks(&spec, self.config.preamble_peak_threshold, 1);
-            ps.truncate(6);
-            for p in &mut ps {
-                p.power = spec[p.bin] + spec[(p.bin + 1) % n] + spec[(p.bin + n - 1) % n];
-            }
-            window_peaks.push(ps);
+        let mut window_peaks = [TopPeaks::EMPTY; PREAMBLE_UPCHIRPS];
+        for (k, ps) in window_peaks.iter_mut().enumerate() {
+            *ps = scratch
+                .down(&self.demod, capture, frame_start + k * sps)
+                .lobes;
         }
-        let all_bins: Vec<usize> = window_peaks
-            .iter()
-            .flat_map(|ps| ps.iter().map(|p| p.bin))
-            .collect();
         // Count each window at most once per candidate bin.
         let mut best: (usize, usize) = (0, 0);
-        for &candidate in &all_bins {
+        for candidate in window_peaks.iter().flat_map(|ps| ps.as_slice()) {
             let votes = window_peaks
                 .iter()
                 .filter(|ps| {
-                    ps.iter()
-                        .any(|p| peaks::cyclic_bin_distance(p.bin, candidate, n) <= 1)
+                    ps.as_slice()
+                        .iter()
+                        .any(|p| peaks::cyclic_bin_distance(p.bin, candidate.bin, n) <= 1)
                 })
                 .count();
             if votes > best.1 {
-                best = (candidate, votes);
+                best = (candidate.bin, votes);
             }
         }
         let (mode_bin, votes) = best;
@@ -326,18 +564,21 @@ impl PreambleDetector {
 
         // Fractional positions and powers of the preamble tone, taken from
         // the windows where it was found.
-        let mut fracs: Vec<f64> = Vec::new();
-        let mut powers: Vec<f64> = Vec::new();
+        let mut fracs = [0.0f64; PREAMBLE_UPCHIRPS];
+        let mut powers = [0.0f64; PREAMBLE_UPCHIRPS];
+        let mut found = 0;
         for ps in &window_peaks {
             if let Some(p) = ps
+                .as_slice()
                 .iter()
                 .find(|p| peaks::cyclic_bin_distance(p.bin, mode_bin, n) <= 1)
             {
-                fracs.push(p.frac_bin);
-                powers.push(p.power);
+                fracs[found] = p.frac_bin;
+                powers[found] = p.power;
+                found += 1;
             }
         }
-        if powers.is_empty() {
+        if found == 0 {
             return None;
         }
 
@@ -346,51 +587,51 @@ impl PreambleDetector {
         // at positions 8 and 9 hold (sync_y, down-chirp) or (up-chirp,
         // sync_x) instead of (sync_x, sync_y), and no peak lands on the
         // expected +8 / +16 bins relative to the preamble mode.
-        let sync_has_diff = |k: usize, expect: usize| -> bool {
+        let mut sync_ok = [false; 2];
+        for (ok, (k, expect)) in sync_ok
+            .iter_mut()
+            .zip([(PREAMBLE_UPCHIRPS, 8), (PREAMBLE_UPCHIRPS + 1, 16)])
+        {
             let a = frame_start + k * sps;
             if a + sps > capture.len() {
-                return false;
+                continue;
             }
-            let spec = self
-                .demod
-                .folded_spectrum(&self.demod.dechirp(&capture[a..a + sps]));
-            let ps = peaks::find_peaks(&spec, self.config.preamble_peak_threshold, 1);
-            ps.iter().take(6).any(|p| {
+            let ps = scratch.down(&self.demod, capture, a).lobes;
+            *ok = ps.as_slice().iter().any(|p| {
                 let d = (p.bin + n - mode_bin) % n;
                 d.abs_diff(expect) <= 1 || d == n - 1 && expect == 0
-            })
-        };
-        let sync0_ok = sync_has_diff(PREAMBLE_UPCHIRPS, 8);
-        let sync1_ok = sync_has_diff(PREAMBLE_UPCHIRPS + 1, 16);
-        if !sync0_ok && !sync1_ok {
+            });
+        }
+        if !sync_ok[0] && !sync_ok[1] {
             return None;
         }
-        let sync_count = sync0_ok as usize + sync1_ok as usize;
+        let sync_count = sync_ok[0] as usize + sync_ok[1] as usize;
 
         // f_up: circular mean of the preamble tone's fractional positions.
-        let f_up = circular_mean(&fracs, n as f64);
+        let f_up = circular_mean(&fracs[..found], n as f64);
 
         // f_down: circular mean over both full down-chirp windows — at
         // sub-noise SNR every fraction of a bin of CFO accuracy matters
         // (a residual above ~0.2 bins starts flipping symbol roundings).
-        let mut f_downs = Vec::with_capacity(2);
+        let mut f_downs = [0.0f64; 2];
+        let mut n_downs = 0;
         for m in 0..2 {
             let dpos = frame_start + self.layout.downchirp_start + m * sps;
             if dpos + sps > capture.len() {
                 continue;
             }
-            let up_de = self.demod.updechirp(&capture[dpos..dpos + sps]);
-            let dspec = self.demod.folded_spectrum(&up_de);
-            if let Some((dbin, p)) = dspec.argmax() {
+            let s = scratch.up(&self.demod, capture, dpos);
+            if let Some((_, p)) = s.argmax {
                 if p > 0.0 {
-                    f_downs.push(peaks::refine_sinc(&dspec, dbin));
+                    f_downs[n_downs] = s.frac;
+                    n_downs += 1;
                 }
             }
         }
-        if f_downs.is_empty() {
+        if n_downs == 0 {
             return None;
         }
-        let f_down = circular_mean(&f_downs, n as f64);
+        let f_down = circular_mean(&f_downs[..n_downs], n as f64);
 
         // Split into CFO and timing error (both signed, in bins):
         //   f_up = cfo + t, f_down = cfo - t  (mod n)
@@ -406,7 +647,7 @@ impl PreambleDetector {
         let refined = frame_start as i64 - t_samples;
         let frame_start = usize::try_from(refined).unwrap_or(frame_start);
 
-        let peak_power = powers.iter().sum::<f64>() / powers.len() as f64;
+        let peak_power = powers[..found].iter().sum::<f64>() / found as f64;
         Some((
             Detection {
                 frame_start,
@@ -460,52 +701,66 @@ pub fn best_downchirp_window(
 /// Both sums are known only mod the band, so τ carries a half-symbol
 /// ambiguity, and `w` may sit over either full down-chirp — the caller
 /// verifies each returned candidate against the preamble and keeps the
-/// best (at most 8 candidates).
+/// best (at most 6 candidates).
 pub fn sync_candidates(
     demod: &Demodulator,
     layout: &FrameLayout,
     capture: &[Cf32],
     w: usize,
 ) -> Vec<usize> {
+    // Only the `wide` peak sets (fixed threshold) are read here, so the
+    // scratch's preamble threshold does not matter.
+    let (out, len) = sync_candidates_in(demod, layout, capture, w, &mut DetectScratch::default());
+    out[..len].to_vec()
+}
+
+/// [`sync_candidates`] through `scratch`'s window memo; returns the
+/// candidates in `out[..len]`.
+fn sync_candidates_in(
+    demod: &Demodulator,
+    layout: &FrameLayout,
+    capture: &[Cf32],
+    w: usize,
+    scratch: &mut DetectScratch,
+) -> ([usize; MAX_CANDIDATES], usize) {
     let sps = demod.params().samples_per_symbol();
     let os = demod.params().oversampling();
     let n = demod.params().n_bins();
+    let mut out = [0usize; MAX_CANDIDATES];
     if w + sps > capture.len() {
-        return Vec::new();
+        return (out, 0);
     }
 
     // f_down: fractional peak of the up-dechirped down-chirp window.
-    let dspec = demod.folded_spectrum(&demod.updechirp(&capture[w..w + sps]));
-    let Some((dbin, dpow)) = dspec.argmax() else {
-        return Vec::new();
+    let down_chirp = scratch.up(demod, capture, w);
+    let Some((_, dpow)) = down_chirp.argmax else {
+        return (out, 0);
     };
     if dpow <= 0.0 {
-        return Vec::new();
+        return (out, 0);
     }
-    let f_down = peaks::refine_sinc(&dspec, dbin);
+    let f_down = down_chirp.frac;
 
     // f_up: the preamble tone, 5-7 symbols before the down-chirps. Vote
     // across three windows with multi-peak extraction (ongoing collisions
     // may out-power the preamble tone in any single window).
-    let mut window_peaks: Vec<Vec<peaks::Peak>> = Vec::new();
+    let mut window_peaks = [TopPeaks::EMPTY; 3];
+    let mut n_windows = 0;
     for back in [5usize, 6, 7] {
         let Some(a) = w.checked_sub(back * sps) else {
             continue;
         };
-        let spec = demod.folded_spectrum(&demod.dechirp(&capture[a..a + sps]));
-        let mut ps = peaks::find_peaks(&spec, 3.0, 1);
-        ps.truncate(6);
-        window_peaks.push(ps);
+        window_peaks[n_windows] = scratch.down(demod, capture, a).wide;
+        n_windows += 1;
     }
-    if window_peaks.is_empty() {
-        return Vec::new();
-    }
+    let window_peaks = &window_peaks[..n_windows];
     let mut best: Option<(f64, usize, f64)> = None; // (frac_pos, votes, power)
-    for cand in window_peaks.iter().flatten() {
+    for cand in window_peaks.iter().flat_map(|ps| ps.as_slice()) {
         let votes = window_peaks
             .iter()
             .filter(|ps| {
-                ps.iter()
+                ps.as_slice()
+                    .iter()
                     .any(|p| peaks::cyclic_bin_distance(p.bin, cand.bin, n) <= 1)
             })
             .count();
@@ -518,7 +773,7 @@ pub fn sync_candidates(
         }
     }
     let Some((f_up, _, _)) = best else {
-        return Vec::new();
+        return (out, 0);
     };
 
     // Solve: f_up - f_down = 2τ/os (mod n) => τ has a half-symbol
@@ -527,7 +782,7 @@ pub fn sync_candidates(
     let two_tau_bins = lora_dsp::math::wrap(f_up - f_down, n as f64);
     let tau_a = (two_tau_bins / 2.0 * os as f64).round() as i64;
     let tau_b = (tau_a + sps as i64 / 2) % sps as i64;
-    let mut out = Vec::new();
+    let mut len = 0;
     for tau in [tau_a, tau_b] {
         // m = -1 covers a coarse window that starts slightly *before*
         // the first down-chirp (over the sync tail); the preamble
@@ -536,12 +791,13 @@ pub fn sync_candidates(
             let frame = w as i64 - tau - layout.downchirp_start as i64 - m * sps as i64;
             // Tolerate a few samples of negative edge error.
             let frame = if (-8..0).contains(&frame) { 0 } else { frame };
-            if frame >= 0 && !out.contains(&(frame as usize)) {
-                out.push(frame as usize);
+            if frame >= 0 && !out[..len].contains(&(frame as usize)) {
+                out[len] = frame as usize;
+                len += 1;
             }
         }
     }
-    out
+    (out, len)
 }
 
 /// Conventional up-chirp preamble scan (standard LoRa / FTrack style):
@@ -636,6 +892,282 @@ fn signed_bin(x: f64, n: f64) -> f64 {
         w - n
     } else {
         w
+    }
+}
+
+/// The allocating confirmation the memoized one replaced, kept verbatim as
+/// the oracle that production detection must match bit for bit: every
+/// window is transformed anew, through the allocating `dechirp` /
+/// `updechirp` / `folded_spectrum` / `find_peaks` path.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Batch detection through the allocating confirmation.
+    pub(super) fn detect(det: &PreambleDetector, capture: &[Cf32]) -> Vec<Detection> {
+        let sps = det.params().samples_per_symbol();
+        if capture.len() < det.layout.data_start {
+            return Vec::new();
+        }
+        let mut coarse: Vec<(usize, f64)> = Vec::new();
+        det.coarse_scan(capture, 0, 0, &mut DetectScratch::default(), &mut coarse);
+        let mut clusters: Vec<Vec<(usize, f64)>> = Vec::new();
+        for (pos, score) in coarse {
+            match clusters.last_mut() {
+                Some(cluster) if extends_cluster(sps, cluster, pos) => cluster.push((pos, score)),
+                _ => clusters.push(vec![(pos, score)]),
+            }
+        }
+        let mut detections: Vec<Detection> = Vec::new();
+        for mut cluster in clusters {
+            cluster.sort_by(|a, b| b.1.total_cmp(&a.1));
+            for &(pos, score) in cluster.iter().take(4) {
+                if let Some(d) = confirm(det, capture, pos, score) {
+                    if !detections
+                        .iter()
+                        .any(|x| x.frame_start.abs_diff(d.frame_start) < sps / 2)
+                    {
+                        detections.push(d);
+                    }
+                }
+            }
+        }
+        detections.sort_by_key(|d| d.frame_start);
+        detections
+    }
+
+    fn confirm(
+        det: &PreambleDetector,
+        capture: &[Cf32],
+        coarse_pos: usize,
+        score: f64,
+    ) -> Option<Detection> {
+        let dc_coherence = |frame_start: usize| -> (f64, f64) {
+            let sps = det.params().samples_per_symbol();
+            let mut min_power = f64::INFINITY;
+            let mut first_ratio = 0.0;
+            for m in 0..2 {
+                let a = frame_start + det.layout.downchirp_start + m * sps;
+                if a + sps > capture.len() {
+                    return (0.0, 0.0);
+                }
+                let spec = det
+                    .demod
+                    .folded_spectrum(&det.demod.updechirp(&capture[a..a + sps]));
+                let peak = spec.argmax().map(|(_, p)| p).unwrap_or(0.0);
+                min_power = min_power.min(peak);
+                if m == 0 {
+                    let floor = spec.median_power();
+                    first_ratio = if floor > 0.0 { peak / floor } else { 0.0 };
+                }
+            }
+            (min_power, first_ratio)
+        };
+        let mut verified: Vec<(Detection, usize, f64)> = Vec::new();
+        for frame_start in sync_candidates(&det.demod, &det.layout, capture, coarse_pos) {
+            if let Some((d, votes, syncs)) = verify_preamble(det, capture, frame_start, score) {
+                let quality = votes + syncs;
+                let (dc, dc_ratio) = dc_coherence(d.frame_start);
+                if dc_ratio < det.config.preamble_peak_threshold {
+                    continue;
+                }
+                verified.push((d, quality, dc));
+            }
+        }
+        let max_q = verified.iter().map(|v| v.1).max()?;
+        verified
+            .into_iter()
+            .filter(|v| v.1 + 1 >= max_q)
+            .max_by(|a, b| a.2.total_cmp(&b.2))
+            .map(|(d, _, _)| d)
+    }
+
+    fn verify_preamble(
+        det: &PreambleDetector,
+        capture: &[Cf32],
+        frame_start: usize,
+        score: f64,
+    ) -> Option<(Detection, usize, usize)> {
+        let sps = det.params().samples_per_symbol();
+        let n = det.params().n_bins();
+        if frame_start + det.layout.data_start > capture.len() {
+            return None;
+        }
+        let mut window_peaks: Vec<Vec<peaks::Peak>> = Vec::with_capacity(PREAMBLE_UPCHIRPS);
+        for k in 0..PREAMBLE_UPCHIRPS {
+            let a = frame_start + k * sps;
+            let de = det.demod.dechirp(&capture[a..a + sps]);
+            let spec = det.demod.folded_spectrum(&de);
+            let mut ps = peaks::find_peaks(&spec, det.config.preamble_peak_threshold, 1);
+            ps.truncate(6);
+            for p in &mut ps {
+                p.power = spec[p.bin] + spec[(p.bin + 1) % n] + spec[(p.bin + n - 1) % n];
+            }
+            window_peaks.push(ps);
+        }
+        let all_bins: Vec<usize> = window_peaks
+            .iter()
+            .flat_map(|ps| ps.iter().map(|p| p.bin))
+            .collect();
+        let mut best: (usize, usize) = (0, 0);
+        for &candidate in &all_bins {
+            let votes = window_peaks
+                .iter()
+                .filter(|ps| {
+                    ps.iter()
+                        .any(|p| peaks::cyclic_bin_distance(p.bin, candidate, n) <= 1)
+                })
+                .count();
+            if votes > best.1 {
+                best = (candidate, votes);
+            }
+        }
+        let (mode_bin, votes) = best;
+        if votes < det.config.preamble_min_upchirps {
+            return None;
+        }
+        let mut fracs: Vec<f64> = Vec::new();
+        let mut powers: Vec<f64> = Vec::new();
+        for ps in &window_peaks {
+            if let Some(p) = ps
+                .iter()
+                .find(|p| peaks::cyclic_bin_distance(p.bin, mode_bin, n) <= 1)
+            {
+                fracs.push(p.frac_bin);
+                powers.push(p.power);
+            }
+        }
+        if powers.is_empty() {
+            return None;
+        }
+        let sync_has_diff = |k: usize, expect: usize| -> bool {
+            let a = frame_start + k * sps;
+            if a + sps > capture.len() {
+                return false;
+            }
+            let spec = det
+                .demod
+                .folded_spectrum(&det.demod.dechirp(&capture[a..a + sps]));
+            let ps = peaks::find_peaks(&spec, det.config.preamble_peak_threshold, 1);
+            ps.iter().take(6).any(|p| {
+                let d = (p.bin + n - mode_bin) % n;
+                d.abs_diff(expect) <= 1 || d == n - 1 && expect == 0
+            })
+        };
+        let sync0_ok = sync_has_diff(PREAMBLE_UPCHIRPS, 8);
+        let sync1_ok = sync_has_diff(PREAMBLE_UPCHIRPS + 1, 16);
+        if !sync0_ok && !sync1_ok {
+            return None;
+        }
+        let sync_count = sync0_ok as usize + sync1_ok as usize;
+        let f_up = circular_mean(&fracs, n as f64);
+        let mut f_downs = Vec::with_capacity(2);
+        for m in 0..2 {
+            let dpos = frame_start + det.layout.downchirp_start + m * sps;
+            if dpos + sps > capture.len() {
+                continue;
+            }
+            let up_de = det.demod.updechirp(&capture[dpos..dpos + sps]);
+            let dspec = det.demod.folded_spectrum(&up_de);
+            if let Some((dbin, p)) = dspec.argmax() {
+                if p > 0.0 {
+                    f_downs.push(peaks::refine_sinc(&dspec, dbin));
+                }
+            }
+        }
+        if f_downs.is_empty() {
+            return None;
+        }
+        let f_down = circular_mean(&f_downs, n as f64);
+        let nu = n as f64;
+        let s_up = signed_bin(f_up, nu);
+        let s_down = signed_bin(f_down, nu);
+        let cfo = (s_up + s_down) / 2.0;
+        let t_bins = (s_up - s_down) / 2.0;
+        let t_samples = (t_bins * det.params().oversampling() as f64).round() as i64;
+        let refined = frame_start as i64 - t_samples;
+        let frame_start = usize::try_from(refined).unwrap_or(frame_start);
+        let peak_power = powers.iter().sum::<f64>() / powers.len() as f64;
+        Some((
+            Detection {
+                frame_start,
+                cfo_bins: cfo,
+                peak_power,
+                score,
+            },
+            votes,
+            sync_count,
+        ))
+    }
+
+    /// The allocating `sync_candidates`.
+    pub(super) fn sync_candidates(
+        demod: &Demodulator,
+        layout: &FrameLayout,
+        capture: &[Cf32],
+        w: usize,
+    ) -> Vec<usize> {
+        let sps = demod.params().samples_per_symbol();
+        let os = demod.params().oversampling();
+        let n = demod.params().n_bins();
+        if w + sps > capture.len() {
+            return Vec::new();
+        }
+        let dspec = demod.folded_spectrum(&demod.updechirp(&capture[w..w + sps]));
+        let Some((dbin, dpow)) = dspec.argmax() else {
+            return Vec::new();
+        };
+        if dpow <= 0.0 {
+            return Vec::new();
+        }
+        let f_down = peaks::refine_sinc(&dspec, dbin);
+        let mut window_peaks: Vec<Vec<peaks::Peak>> = Vec::new();
+        for back in [5usize, 6, 7] {
+            let Some(a) = w.checked_sub(back * sps) else {
+                continue;
+            };
+            let spec = demod.folded_spectrum(&demod.dechirp(&capture[a..a + sps]));
+            let mut ps = peaks::find_peaks(&spec, 3.0, 1);
+            ps.truncate(6);
+            window_peaks.push(ps);
+        }
+        if window_peaks.is_empty() {
+            return Vec::new();
+        }
+        let mut best: Option<(f64, usize, f64)> = None;
+        for cand in window_peaks.iter().flatten() {
+            let votes = window_peaks
+                .iter()
+                .filter(|ps| {
+                    ps.iter()
+                        .any(|p| peaks::cyclic_bin_distance(p.bin, cand.bin, n) <= 1)
+                })
+                .count();
+            let better = match best {
+                None => true,
+                Some((_, v, pow)) => votes > v || (votes == v && cand.power > pow),
+            };
+            if better {
+                best = Some((cand.frac_bin, votes, cand.power));
+            }
+        }
+        let Some((f_up, _, _)) = best else {
+            return Vec::new();
+        };
+        let two_tau_bins = lora_dsp::math::wrap(f_up - f_down, n as f64);
+        let tau_a = (two_tau_bins / 2.0 * os as f64).round() as i64;
+        let tau_b = (tau_a + sps as i64 / 2) % sps as i64;
+        let mut out = Vec::new();
+        for tau in [tau_a, tau_b] {
+            for m in [-1i64, 0, 1] {
+                let frame = w as i64 - tau - layout.downchirp_start as i64 - m * sps as i64;
+                let frame = if (-8..0).contains(&frame) { 0 } else { frame };
+                if frame >= 0 && !out.contains(&(frame as usize)) {
+                    out.push(frame as usize);
+                }
+            }
+        }
+        out
     }
 }
 
@@ -774,6 +1306,130 @@ mod tests {
         let ds = upchirp_scan(&demod, &cap, 8.0);
         assert_eq!(ds.len(), 1);
         assert!(ds[0].frame_start.abs_diff(start) <= p.samples_per_symbol());
+    }
+
+    /// Six packets whose starts sit a third of a frame apart (with
+    /// jitter), so every frame overlaps two or three others, at mixed SNR
+    /// and CFO: the memo's shared-window case.
+    fn busy_capture(sf: u8, seed: u64) -> (LoraParams, Vec<Cf32>) {
+        use rand::RngExt;
+        let p = LoraParams::new(sf, 250e3, 2).unwrap();
+        let x = Transceiver::new(p, CodeRate::Cr45);
+        let frame = x.frame_samples(10);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut start = 3 * p.samples_per_symbol();
+        let emissions: Vec<Emission> = (0..6)
+            .map(|_| {
+                let payload: Vec<u8> = (0..10).map(|_| rng.random()).collect();
+                let e = Emission {
+                    waveform: x.waveform(&payload),
+                    amplitude: amplitude_for_snr(rng.random_range(8.0..25.0), p.oversampling()),
+                    start_sample: start,
+                    cfo_hz: rng.random_range(-3000.0..3000.0),
+                };
+                start += frame / 3 + rng.random_range(0..frame / 6);
+                e
+            })
+            .collect();
+        let mut cap = superpose(&p, start + frame, &emissions);
+        add_unit_noise(&mut rng, &mut cap);
+        (p, cap)
+    }
+
+    /// Every field's bits, so NaN fields compare too.
+    fn bits(ds: &[Detection]) -> Vec<[u64; 4]> {
+        ds.iter()
+            .map(|d| {
+                [
+                    d.frame_start as u64,
+                    d.cfo_bins.to_bits(),
+                    d.peak_power.to_bits(),
+                    d.score.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    /// FNV-1a over every detection field's bits.
+    fn fnv(ds: &[Detection]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in bits(ds).into_iter().flatten() {
+            h ^= v;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// The memoized confirmation detects exactly what the allocating
+        /// oracle does, on busy captures with and without a hostile
+        /// stretch (zeros or a NaN burst) written over them.
+        #[test]
+        fn memoized_confirmation_matches_the_allocating_oracle(
+            sf in proptest::prop_oneof![proptest::prelude::Just(7u8), proptest::prelude::Just(9u8)],
+            seed in 0u64..1000,
+            hostile in 0u8..3,
+            at in 0.0f64..1.0,
+            span in 1usize..4096,
+        ) {
+            let (p, mut cap) = busy_capture(sf, seed);
+            let a = (at * cap.len() as f64) as usize;
+            let b = (a + span).min(cap.len());
+            match hostile {
+                1 => cap[a..b].fill(Cf32::new(0.0, 0.0)),
+                2 => cap[a..b].fill(Cf32::new(f32::NAN, 0.0)),
+                _ => {}
+            }
+            let det = PreambleDetector::new(p, CicConfig::default());
+            let got = det.detect(&cap);
+            proptest::prop_assert_eq!(bits(&got), bits(&reference::detect(&det, &cap)));
+            if hostile == 0 {
+                proptest::prop_assert!(got.len() >= 4, "SF{} seed {}: {:?}", sf, seed, got);
+            }
+
+            // The public wrapper answers like the allocating original at
+            // every coarse hit.
+            let mut hits = Vec::new();
+            det.coarse_scan(&cap, 0, 0, &mut DetectScratch::default(), &mut hits);
+            for &(w, _) in &hits {
+                proptest::prop_assert_eq!(
+                    sync_candidates(&det.demod, &det.layout, &cap, w),
+                    reference::sync_candidates(&det.demod, &det.layout, &cap, w)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn busy_capture_detections_are_pinned() {
+        // Measured with the allocating confirmation.
+        for (sf, seed, count, hash) in [
+            (7u8, 1u64, 6usize, 0xde44_3221_f0fd_63cbu64),
+            (9, 2, 6, 0x10fb_2f91_6e7c_2551),
+        ] {
+            let (p, cap) = busy_capture(sf, seed);
+            let ds = PreambleDetector::new(p, CicConfig::default()).detect(&cap);
+            assert_eq!((ds.len(), fnv(&ds)), (count, hash), "SF{sf}");
+        }
+    }
+
+    #[test]
+    fn confirmation_transforms_each_window_once() {
+        let (p, cap) = busy_capture(9, 2);
+        let det = PreambleDetector::new(p, CicConfig::default());
+        let mut scratch = DetectScratch::default();
+        let ds = det.detect_with(&cap, &mut scratch);
+        assert_eq!(bits(&ds), bits(&det.detect(&cap)));
+        assert!(scratch.clusters() >= ds.len() as u64);
+        assert!(scratch.down.starts.len() + scratch.up.starts.len() <= 64);
+        assert!(
+            scratch.transforms() * 2 < scratch.window_requests(),
+            "{} transforms for {} requests",
+            scratch.transforms(),
+            scratch.window_requests()
+        );
     }
 
     #[test]

@@ -53,7 +53,7 @@ use lora_phy::params::{CodeRate, LoraParams};
 
 use crate::config::CicConfig;
 use crate::demod::CicDemodulator;
-use crate::preamble::{confirm_reach, extends_cluster, CoarseScratch, Detection, PreambleDetector};
+use crate::preamble::{confirm_reach, extends_cluster, DetectScratch, Detection, PreambleDetector};
 use crate::receiver::{CicReceiver, DecodedPacket};
 use crate::scratch::DemodScratch;
 use crate::sic::{CancelOutcome, ResidualBuffer, SicReport};
@@ -113,7 +113,7 @@ pub struct StreamingReceiver {
     /// (interferers and duplicate checks for later detections).
     decided: Vec<Tracked>,
     engines: Option<Engines>,
-    coarse: CoarseScratch,
+    detect: DetectScratch,
     hits: Vec<(usize, f64)>,
     scratch: DemodScratch,
     /// Residual of the window for the SIC stage: mirrors `buffer` minus
@@ -137,7 +137,7 @@ impl StreamingReceiver {
             pending: Vec::new(),
             decided: Vec::new(),
             engines: None,
-            coarse: CoarseScratch::default(),
+            detect: DetectScratch::default(),
             hits: Vec::new(),
             scratch: DemodScratch::new(),
             residual: ResidualBuffer::new(),
@@ -300,7 +300,7 @@ impl StreamingReceiver {
             &self.buffer,
             self.origin,
             self.next_hop,
-            &mut self.coarse,
+            &mut self.detect,
             &mut self.hits,
         );
         // A cluster spanning more than the holdback (a down-chirp run no
@@ -330,7 +330,7 @@ impl StreamingReceiver {
             let (pending, decided) = (&mut self.pending, &self.decided);
             engines
                 .detector
-                .confirm_cluster(span, lo, &mut cluster, |det| {
+                .confirm_cluster(span, lo, &mut cluster, &mut self.detect, |det| {
                     let dup = pending
                         .iter()
                         .chain(decided)

@@ -1,6 +1,7 @@
 //! Heap discipline of the hot paths: once the scratch arenas, FFT plans
-//! and engine caches are warm, a `demodulate_with` loop and the
-//! detector's coarse hop scan perform **zero** heap allocations.
+//! and engine caches are warm, a `demodulate_with` loop, the detector's
+//! coarse hop scan and its cluster confirmation perform **zero** heap
+//! allocations.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! replays the same window set once to warm every buffer, snapshots the
@@ -12,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cic::{
-    Boundaries, CicConfig, CicDemodulator, CoarseScratch, DemodScratch, PreambleDetector,
+    Boundaries, CicConfig, CicDemodulator, DemodScratch, DetectScratch, PreambleDetector,
     SymbolContext,
 };
 use lora_channel::{add_unit_noise, amplitude_for_snr, superpose, Emission};
@@ -172,9 +173,9 @@ fn warm_demodulate_loop_is_allocation_free() {
     // hit list once, then rescan the same capture.
     let detector = PreambleDetector::new(p, CicConfig::default());
     let cap = scan_capture(&p);
-    let mut coarse = CoarseScratch::default();
+    let mut detect = DetectScratch::default();
     let mut hits = Vec::new();
-    detector.coarse_scan(&cap, 0, 0, &mut coarse, &mut hits);
+    detector.coarse_scan(&cap, 0, 0, &mut detect, &mut hits);
     let warm_hits = hits.clone();
     assert!(!warm_hits.is_empty(), "the packet's down-chirps must hit");
 
@@ -182,7 +183,7 @@ fn warm_demodulate_loop_is_allocation_free() {
     let mut next = 0;
     for _ in 0..3 {
         hits.clear();
-        next = detector.coarse_scan(&cap, 0, 0, &mut coarse, &mut hits);
+        next = detector.coarse_scan(&cap, 0, 0, &mut detect, &mut hits);
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
@@ -193,4 +194,40 @@ fn warm_demodulate_loop_is_allocation_free() {
         3 * next / (p.samples_per_symbol() / 2)
     );
     assert_eq!(hits, warm_hits);
+
+    // Cluster confirmation over the scan's clusters (hits at most one
+    // symbol apart): warm the scratch once, then confirm every cluster
+    // again into a list that already has room.
+    let sps = p.samples_per_symbol();
+    let mut clusters: Vec<Vec<(usize, f64)>> = Vec::new();
+    for &(pos, score) in &hits {
+        match clusters.last_mut() {
+            Some(c) if pos - c[c.len() - 1].0 <= sps => c.push((pos, score)),
+            _ => clusters.push(vec![(pos, score)]),
+        }
+    }
+    let mut found = Vec::with_capacity(4 * hits.len());
+    for c in &mut clusters {
+        detector.confirm_cluster(&cap, 0, c, &mut detect, |d| found.push(d));
+    }
+    let warm_found = found.clone();
+    assert!(!warm_found.is_empty(), "the packet must be confirmed");
+
+    let transforms = detect.transforms();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..3 {
+        found.clear();
+        for c in &mut clusters {
+            detector.confirm_cluster(&cap, 0, c, &mut detect, |d| found.push(d));
+        }
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "warm confirmation allocated {} times over {} transforms",
+        after - before,
+        detect.transforms() - transforms
+    );
+    assert_eq!(found, warm_found);
 }

@@ -82,6 +82,16 @@ fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
+/// Whether a datagram is queued on `sock`, checked without blocking and
+/// without consuming it.
+fn datagram_waiting(sock: &UdpSocket) -> bool {
+    if sock.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let waiting = sock.peek(&mut [0u8; 1]).is_ok();
+    sock.set_nonblocking(false).is_ok() && waiting
+}
+
 /// Tuning for the socket sources.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -150,12 +160,19 @@ impl UdpIqSource {
         self.local
     }
 
-    /// Tear the socket down and bind the same local port again. The old
-    /// socket must drop *before* the new bind — the port is otherwise
-    /// still held and the rebind could never succeed.
+    /// Tear the socket down and bind the same local port again, after the
+    /// backoff. The old socket stays bound through the backoff sleep, so
+    /// datagrams arriving meanwhile queue in it instead of hitting an
+    /// unbound port; if one did arrive, the link is alive and the socket
+    /// (with the datagram) is kept. Otherwise the old socket drops and
+    /// the new one binds back to back: the port is held until the drop,
+    /// so the bind cannot come first.
     fn rebind(&mut self) -> IqEvent {
-        self.sock = None;
         std::thread::sleep(self.cfg.backoff.delay());
+        if self.sock.as_ref().is_some_and(datagram_waiting) {
+            return IqEvent::Idle;
+        }
+        self.sock = None;
         match UdpSocket::bind(self.local) {
             Ok(sock) => {
                 if sock.set_read_timeout(Some(self.cfg.read_timeout)).is_err() {

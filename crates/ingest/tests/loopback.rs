@@ -244,7 +244,16 @@ fn udp_liveness_timeout_rebinds_and_stream_continues() {
         tx.send_eos(3).expect("eos");
     });
     let sub = IngestDriver::spawn(gateway(&plan()), source, IngestConfig::default());
-    let (_, snap) = sub.join();
+    // A lost EOS would leave `join` waiting forever: join behind a
+    // deadline so the loss fails the test instead of hanging it.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        let _ = done_tx.send(sub.join());
+    });
+    let (_, snap) = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the driver never saw the EOS sent after the rebind");
+    joiner.join().expect("join thread");
     sender.join().expect("sender thread");
 
     assert!(
